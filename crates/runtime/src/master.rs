@@ -92,6 +92,10 @@ use crate::error::RuntimeError;
 pub struct EpochOal {
     /// Master epoch the sender last observed.
     pub epoch: u64,
+    /// The sender's simulated clock when it closed the interval. The master
+    /// prices round cost against these published clocks, never against live
+    /// `ClockBoard` cells (which a task running ahead privately has moved).
+    pub clock_ns: u64,
     /// The batch itself.
     pub oal: Oal,
 }
@@ -710,11 +714,14 @@ struct Daemon {
     round_coverage: Vec<f64>,
     /// Per closed round, profiling cost / charged compute since the last close.
     round_cost_fraction: Vec<f64>,
-    /// (Σ thread clocks, profiling wire bytes, OAL entries) at the previous
-    /// round close — the cost fraction is the delta between closes. All three
-    /// are virtual-time/virtual-count reads taken while the master holds the
-    /// cooperative token, so the fraction is deterministic.
+    /// (Σ published thread clocks, profiling wire bytes, OAL entries) at the
+    /// previous round close — the cost fraction is the delta between closes.
+    /// All three only move at workers' shared steps, so the fraction is
+    /// deterministic.
     cost_base: (u64, u64, u64),
+    /// Per worker, the latest clock stamped on an OAL it shipped
+    /// ([`EpochOal::clock_ns`]). Transport-level knowledge: a restore keeps it.
+    published_ns: Vec<u64>,
     // ---------------------------------------------------------- gray failure
     /// The crash-quarantine table in force at startup: what a straggler's
     /// threads revert to when the node recovers.
@@ -776,7 +783,9 @@ struct Daemon {
 
 impl Daemon {
     fn ingest(&mut self, msg: EpochOal) {
-        let EpochOal { epoch, oal } = msg;
+        let EpochOal { epoch, clock_ns, oal } = msg;
+        let published = &mut self.published_ns[oal.thread.index()];
+        *published = (*published).max(clock_ns);
         // Master restart: the first OAL at/after the current crash window's end finds
         // the master rebooting — restore the latest checkpoint and replay. OALs in
         // flight while the master is down are *deferred, not dropped*: the transport
@@ -1045,7 +1054,12 @@ impl Daemon {
         );
         for oal in replay {
             self.replayed_oals += 1;
-            self.ingest(EpochOal { epoch: self.epoch, oal });
+            // Replay re-delivers batches whose clocks were published already.
+            self.ingest(EpochOal {
+                epoch: self.epoch,
+                clock_ns: 0,
+                oal,
+            });
         }
     }
 
@@ -1134,16 +1148,14 @@ impl Daemon {
     }
 
     /// The profiling cost of the window since the previous round close, as a
-    /// fraction of the application compute charged in that window. Cost =
-    /// profiling wire bytes (OAL ship, rate broadcasts, TCM partials) at the
-    /// fabric's per-byte rate, plus OAL log appends at the GOS cost model's
-    /// append rate. Every input is a virtual counter read while the master holds
-    /// the cooperative token, so the fraction is deterministic and free of
-    /// host-time noise.
+    /// fraction of the simulated time the workers published in that window (the
+    /// clocks stamped on their OALs). Cost = profiling wire bytes (OAL ship, rate
+    /// broadcasts, TCM partials) at the fabric's per-byte rate, plus OAL log
+    /// appends at the GOS cost model's append rate. Every input is a virtual
+    /// counter that moves only at shared steps, so the fraction is deterministic
+    /// and free of host-time noise and of how far workers ran ahead privately.
     fn profiling_cost_fraction(&mut self) -> f64 {
-        let compute: u64 = (0..self.shared.n_threads)
-            .map(|t| self.shared.board.read(ThreadId(t as u32)))
-            .sum();
+        let compute: u64 = self.published_ns.iter().sum();
         let prof_bytes = self.shared.gos.net_stats().oal_bytes();
         let entries = self.shared.prof.stats().snapshot().oal_entries;
         let (c0, b0, e0) = self.cost_base;
@@ -1691,6 +1703,7 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
         round_coverage: Vec::new(),
         round_cost_fraction: Vec::new(),
         cost_base: (0, 0, 0),
+        published_ns: vec![0; shared.n_threads],
         lag_ewma: vec![0.0; shared.n_nodes],
         prev_node_min: vec![0; shared.n_nodes],
         straggler_demoted: vec![false; shared.n_nodes],

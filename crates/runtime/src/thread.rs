@@ -477,6 +477,7 @@ impl JThread {
                         let key = jessy_net::oal_fault_key(oal.thread, oal.interval);
                         let env = EpochOal {
                             epoch: self.shared.master_epoch.load(Ordering::Acquire),
+                            clock_ns: now,
                             oal,
                         };
                         self.deferred_oals.push((heal, key, env));
@@ -505,6 +506,7 @@ impl JThread {
                 let key = jessy_net::oal_fault_key(oal.thread, oal.interval);
                 let oal = EpochOal {
                     epoch: self.shared.master_epoch.load(Ordering::Acquire),
+                    clock_ns: self.clock.now(),
                     oal,
                 };
                 // Unbounded: the direct post (a failure means the mailbox is
