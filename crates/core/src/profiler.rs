@@ -277,6 +277,22 @@ impl ThreadProfiler {
         }
     }
 
+    /// Would the hooks after a non-logging access that ends at simulated time
+    /// `end_ns` stay inside this thread? False under full tracing (a thread's
+    /// first access to an object in an interval is logged) and when a
+    /// footprint probe or stack sample falls due by `end_ns`.
+    pub fn hit_stays_private(&self, end_ns: u64) -> bool {
+        !self.shared.config.full_trace
+            && !self
+                .footprint
+                .as_ref()
+                .is_some_and(|fp| fp.should_probe(end_ns))
+            && !self
+                .stack_sampler
+                .as_ref()
+                .is_some_and(|s| s.sample_due(end_ns))
+    }
+
     /// Timer-gated stack sample (Section III.B). Returns whether a sample was taken.
     pub fn maybe_stack_sample(
         &mut self,

@@ -127,14 +127,18 @@ impl StackSampler {
         costs: &CostModel,
     ) -> bool {
         let now = clock.now();
-        match self.last_sample {
-            Some(last) if now.saturating_sub(last) < self.config.gap_ns => false,
-            _ => {
-                self.last_sample = Some(now);
-                self.sample(stack, clock, costs);
-                true
-            }
+        if !self.sample_due(now) {
+            return false;
         }
+        self.last_sample = Some(now);
+        self.sample(stack, clock, costs);
+        true
+    }
+
+    /// Would [`maybe_sample`](Self::maybe_sample) sample at simulated time `now`?
+    pub fn sample_due(&self, now: SimNanos) -> bool {
+        self.last_sample
+            .is_none_or(|last| now.saturating_sub(last) >= self.config.gap_ns)
     }
 
     /// Unconditionally take one sample (Fig. 8).

@@ -232,6 +232,17 @@ impl ThreadSpace {
         }
     }
 
+    /// Would an access of `obj` hit a usable cached copy: valid, not outrun by
+    /// an acquired notice, no live trap? Such an access reads and writes only
+    /// this arena — the private-hit peek behind lookahead dispatch.
+    /// Home-resident entries never qualify: other threads' fetches read the
+    /// home copy and their diffs write it.
+    #[inline]
+    pub fn private_hit(&self, obj: ObjectId) -> bool {
+        let w = self.word(obj);
+        w_state(w) == ST_VALID && !self.word_is_stale(w) && !self.word_is_armed(w)
+    }
+
     // ------------------------------------------------------------------ arming
 
     /// Arm false-invalid traps on `objs` for the *current* interval (footprint

@@ -523,6 +523,22 @@ impl Gos {
         self.access(space, node, obj, AccessKind::Write, clock, f)
     }
 
+    /// Simulated cost of an access to `obj` that is a private hit
+    /// ([`ThreadSpace::private_hit`]): the access check, plus the twin a first
+    /// write of the interval takes. `None` for every other access.
+    pub fn private_hit_ns(&self, space: &ThreadSpace, obj: ObjectId, kind: AccessKind) -> Option<u64> {
+        if !space.private_hit(obj) {
+            return None;
+        }
+        let costs = &self.config.costs;
+        let twin = if kind == AccessKind::Write && !space.twin_bit(space.peek(obj)) {
+            costs.twin_ns(space.data_len(obj))
+        } else {
+            0
+        };
+        Some(costs.access_check_ns + twin)
+    }
+
     fn access<R>(
         &self,
         space: &mut ThreadSpace,

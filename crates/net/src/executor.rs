@@ -9,6 +9,17 @@
 //! a run is a pure function of its inputs and replays bit-identically:
 //! journal, TCM and `MasterOutput` alike.
 //!
+//! ## Lookahead
+//!
+//! Tasks call [`DetExecutor::yield_now`] only before steps that touch state
+//! other tasks can see (*shared* steps); steps confined to the task's own
+//! state run without any executor call. The executor publishes a *horizon*:
+//! the smallest scheduling key among the runnable tasks other than the running
+//! one. A yield whose key is strictly below the horizon keeps the token without
+//! taking the lock — the yielding task would have been re-picked anyway — so
+//! the token moves only where shared steps of different tasks interleave
+//! (conservative lookahead, Chandy & Misra 1979, applied to a single token).
+//!
 //! Serialization is also what closes the LRC fetch-vs-flush race (DESIGN.md
 //! §14): with one task running at a time, the write-notice distribution at
 //! barriers is schedule-determined, not OS-determined. And because carrier
@@ -44,6 +55,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
 
@@ -83,8 +95,6 @@ struct TaskSlot {
     /// cluster gives the master daemon 0 so it services mail promptly even when
     /// cost models keep every clock at zero).
     priority: u8,
-    /// Scheduling points passed — feeds the jitter hash.
-    yields: u64,
     /// Invalidates stale heap entries (bumped on every re-key).
     generation: u64,
     /// Carrier thread handle, for unpark.
@@ -122,6 +132,17 @@ pub struct DetExecutor {
     /// Signaled whenever the executor goes idle (nothing running, nothing
     /// dispatchable under the current budget) — manual mode waits here.
     idle: Condvar,
+    /// Smallest scheduling key among the runnable tasks other than the running
+    /// one (`u64::MAX` if none; 0 while poisoned or in manual mode, which sends
+    /// every yield through the lock). Written under the state lock, read
+    /// lock-free by the running task's [`yield_now`](Self::yield_now): the
+    /// task took the token under that lock (Release/Acquire through the
+    /// mutex), so it sees every value published before it ran; later writes
+    /// come from its own calls or from unblocks by non-task threads.
+    horizon: AtomicU64,
+    /// Scheduling calls per task — feeds the jitter hash. Only the task itself
+    /// bumps its counter, so the lock-free yield path can too.
+    yields: Box<[AtomicU64]>,
 }
 
 impl DetExecutor {
@@ -145,7 +166,6 @@ impl DetExecutor {
                 state: TaskState::NotStarted,
                 clock_ns: 0,
                 priority: 1,
-                yields: 0,
                 generation: 0,
                 carrier: None,
                 run_token: false,
@@ -168,6 +188,8 @@ impl DetExecutor {
                 poisoned: false,
             }),
             idle: Condvar::new(),
+            horizon: AtomicU64::new(0),
+            yields: (0..n_tasks).map(|_| AtomicU64::new(0)).collect(),
         })
     }
 
@@ -196,22 +218,54 @@ impl DetExecutor {
     }
 
     fn push_runnable(&self, g: &mut ExecState, task: usize) {
+        let yields = self.yields[task].load(Ordering::Relaxed);
         let slot = &mut g.tasks[task];
         debug_assert_eq!(slot.state, TaskState::Runnable);
         slot.generation += 1;
         let entry = (
-            self.key(task, slot.yields, slot.clock_ns),
+            self.key(task, yields, slot.clock_ns),
             slot.priority,
             task,
             slot.generation,
         );
         g.heap.push(Reverse(entry));
+        self.publish_horizon(g);
+    }
+
+    /// Drop stale heap entries off the top and publish the smallest live key
+    /// as the horizon. Called after every change to the heap, the budget or
+    /// the poison flag.
+    fn publish_horizon(&self, g: &mut ExecState) {
+        let horizon = if g.poisoned || g.budget != u64::MAX {
+            0
+        } else {
+            loop {
+                match g.heap.peek() {
+                    None => break u64::MAX,
+                    Some(&Reverse((key, _, task, generation))) => {
+                        let slot = &g.tasks[task];
+                        if slot.state == TaskState::Runnable && slot.generation == generation {
+                            break key;
+                        }
+                        g.heap.pop();
+                    }
+                }
+            }
+        };
+        self.horizon.store(horizon, Ordering::Release);
     }
 
     /// Hand the token to the best runnable task, or detect deadlock/idle.
-    /// Caller must hold the state lock and have `running == None`.
-    fn dispatch(&self, g: &mut ExecState) {
+    /// Caller must hold the state lock and have `running == None`. The picked
+    /// task's carrier is unparked unless it is `caller`, which is awake and
+    /// takes the token itself.
+    fn dispatch(&self, g: &mut ExecState, caller: Option<usize>) {
         debug_assert!(g.running.is_none());
+        self.pick(g, caller);
+        self.publish_horizon(g);
+    }
+
+    fn pick(&self, g: &mut ExecState, caller: Option<usize>) {
         if g.poisoned {
             self.wake_everything(g);
             return;
@@ -250,11 +304,23 @@ impl DetExecutor {
             slot.run_token = true;
             g.running = Some(task);
             g.runnable -= 1;
-            if let Some(t) = &slot.carrier {
-                t.unpark();
+            if caller != Some(task) {
+                if let Some(t) = &slot.carrier {
+                    t.unpark();
+                }
             }
             return;
         }
+    }
+
+    /// After `caller` handed the token back and dispatched: if the dispatch
+    /// re-picked it, take the token without parking. Returns whether it did.
+    fn kept_token(g: &mut ExecState, caller: usize) -> bool {
+        if g.running != Some(caller) {
+            return false;
+        }
+        g.tasks[caller].run_token = false;
+        true
     }
 
     fn wake_everything(&self, g: &mut ExecState) {
@@ -311,16 +377,23 @@ impl DetExecutor {
             if g.registered == g.tasks.len() {
                 g.started = true;
                 if g.running.is_none() {
-                    self.dispatch(&mut g);
+                    self.dispatch(&mut g, None);
                 }
             }
         }
         self.wait_for_token(task);
     }
 
-    /// Cooperative scheduling point: report the task's virtual clock, hand the
-    /// token back, and park until re-picked. Called only by the running task.
+    /// Cooperative scheduling point: report the task's virtual clock and let
+    /// the task with the smallest `(key, priority, id)` run. Called only by the
+    /// running task. A key strictly below the [horizon](Self#lookahead) keeps
+    /// the token without touching the lock; otherwise the task hands the token
+    /// back and parks until re-picked.
     pub fn yield_now(&self, task: usize, now_ns: u64) {
+        let yields = self.yields[task].fetch_add(1, Ordering::Relaxed) + 1;
+        if self.key(task, yields, now_ns) < self.horizon.load(Ordering::Acquire) {
+            return;
+        }
         {
             let mut g = self.state.lock();
             if g.poisoned {
@@ -330,13 +403,14 @@ impl DetExecutor {
             debug_assert_eq!(g.running, Some(task));
             let slot = &mut g.tasks[task];
             slot.clock_ns = slot.clock_ns.max(now_ns);
-            slot.yields += 1;
             slot.state = TaskState::Runnable;
-            slot.pending_wake = false;
             g.running = None;
             g.runnable += 1;
             self.push_runnable(&mut g, task);
-            self.dispatch(&mut g);
+            self.dispatch(&mut g, Some(task));
+            if Self::kept_token(&mut g, task) {
+                return;
+            }
         }
         self.wait_for_token(task);
     }
@@ -362,9 +436,9 @@ impl DetExecutor {
                 panic!("{POISON_MSG}");
             }
             debug_assert_eq!(g.running, Some(task));
+            self.yields[task].fetch_add(1, Ordering::Relaxed);
             let slot = &mut g.tasks[task];
             slot.clock_ns = slot.clock_ns.max(now_ns);
-            slot.yields += 1;
             if slot.pending_wake {
                 // A wakeup raced the block (sent from a non-task thread while
                 // this task was running): degrade to a plain yield.
@@ -380,16 +454,20 @@ impl DetExecutor {
                     g.blocked_internal += 1;
                 }
             }
-            self.dispatch(&mut g);
+            self.dispatch(&mut g, Some(task));
+            if Self::kept_token(&mut g, task) {
+                return;
+            }
         }
         self.wait_for_token(task);
     }
 
     /// Make a blocked task runnable again. Callable from any thread (a running
     /// task releasing a resource, or the controlling thread waking an
-    /// externally-blocked task). Waking a running task records a pending
-    /// wakeup consumed by its next `block_*`; waking a runnable or finished
-    /// task is a no-op.
+    /// externally-blocked task). A woken task below the horizon lowers it, so
+    /// the running task parks at its next yield. Waking a running task records
+    /// a pending wakeup consumed by its next `block_*`; waking a runnable or
+    /// finished task is a no-op.
     pub fn unblock(&self, task: usize) {
         let mut g = self.state.lock();
         if g.poisoned || task >= g.tasks.len() {
@@ -404,7 +482,7 @@ impl DetExecutor {
                 }
                 self.push_runnable(&mut g, task);
                 if g.running.is_none() && g.started {
-                    self.dispatch(&mut g);
+                    self.dispatch(&mut g, None);
                 }
             }
             TaskState::Running => g.tasks[task].pending_wake = true,
@@ -433,7 +511,7 @@ impl DetExecutor {
             _ => {}
         }
         if !g.poisoned && g.running.is_none() && g.started {
-            self.dispatch(&mut g);
+            self.dispatch(&mut g, None);
         }
     }
 
@@ -456,11 +534,13 @@ impl DetExecutor {
     pub fn poison(&self) {
         let mut g = self.state.lock();
         g.poisoned = true;
+        self.publish_horizon(&mut g);
         self.wake_everything(&mut g);
     }
 
     /// Earliest virtual clock over all unfinished tasks (0 if none) — the
-    /// front of virtual time.
+    /// front of virtual time. A running task counts with the clock of its last
+    /// yield that parked or blocked.
     pub fn time_front(&self) -> u64 {
         let g = self.state.lock();
         g.tasks
@@ -490,12 +570,13 @@ impl DetExecutor {
         }
         g.budget = g.budget.saturating_add(steps);
         if g.running.is_none() && g.started {
-            self.dispatch(&mut g);
+            self.dispatch(&mut g, None);
         }
         while !Self::is_idle(&g) {
             self.idle.wait(&mut g);
         }
         g.budget = 0;
+        self.publish_horizon(&mut g);
         g.tasks.len() - g.finished
     }
 
@@ -509,19 +590,21 @@ impl DetExecutor {
         }
         g.budget = u64::MAX;
         if g.running.is_none() && g.started {
-            self.dispatch(&mut g);
+            self.dispatch(&mut g, None);
         }
         while !(g.running.is_none() && g.runnable == 0) {
             self.idle.wait(&mut g);
         }
         g.budget = 0;
+        self.publish_horizon(&mut g);
         g.tasks.len() - g.finished
     }
 
     /// Raise every unfinished task's virtual clock to at least `ns` (re-keying
     /// runnable tasks), compressing dead virtual time. The tasks' own clocks
     /// (e.g. a `ClockBoard`) must be raised by the caller; this adjusts only
-    /// the scheduling view.
+    /// the scheduling view. Manual mode only: a running task's lock-free
+    /// yields do not see a clock raised here.
     pub fn fast_forward_to(&self, ns: u64) {
         let mut g = self.state.lock();
         let n = g.tasks.len();
@@ -607,6 +690,166 @@ mod tests {
         assert_eq!(a, b, "same seed must replay the same interleaving");
         let c = run_logged(4, 8, 1_000, 6, &[10, 10, 10, 10]);
         assert_ne!(a, c, "different seed should pick a different interleaving");
+    }
+
+    /// `n` tasks each running `steps` steps that advance its clock by
+    /// `pace[t]`; step `s` is shared when `s % every[t] == 0` and yields at its
+    /// start clock first, the others run without an executor call. Returns the
+    /// shared steps in execution order.
+    fn run_lookahead(
+        seed: u64,
+        jitter: u64,
+        steps: usize,
+        pace: &[u64],
+        every: &[usize],
+        priority: &[u8],
+    ) -> Vec<(usize, usize)> {
+        let n = pace.len();
+        let exec = DetExecutor::new(n, seed, jitter);
+        for (t, &p) in priority.iter().enumerate() {
+            exec.set_priority(t, p);
+        }
+        let log = Arc::new(Mutex::new(Vec::new()));
+        std::thread::scope(|s| {
+            for t in 0..n {
+                let (exec, log) = (&exec, &log);
+                let (pace, every) = (pace[t], every[t]);
+                s.spawn(move || {
+                    exec.register_current(t);
+                    for step in 0..steps {
+                        if step % every == 0 {
+                            exec.yield_now(t, step as u64 * pace);
+                            log.lock().push((t, step));
+                        }
+                    }
+                    exec.finish(t);
+                });
+            }
+        });
+        let out = log.lock().clone();
+        out
+    }
+
+    #[test]
+    fn shared_steps_run_in_clock_priority_id_order() {
+        let pace = [7, 3, 5, 3];
+        let every = [1, 4, 2, 3];
+        let priority = [1, 1, 0, 1];
+        let got = run_lookahead(0, 0, 24, &pace, &every, &priority);
+        // The order `run_logged` gives when every step yields, restricted to
+        // the shared steps: by (start clock, priority, task id).
+        let mut want: Vec<(u64, u8, usize, usize)> = (0..pace.len())
+            .flat_map(|t| {
+                (0..24)
+                    .filter(move |s| s % every[t] == 0)
+                    .map(move |s| (s as u64 * pace[t], priority[t], t, s))
+            })
+            .collect();
+        want.sort_unstable();
+        let want: Vec<(usize, usize)> = want.into_iter().map(|(_, _, t, s)| (t, s)).collect();
+        assert_eq!(got, want);
+        // With every step shared, the order is exactly `run_logged`'s.
+        let all = run_lookahead(0, 0, 6, &[10, 10, 10], &[1, 1, 1], &[1, 1, 1]);
+        let logged = run_logged(3, 0, 0, 6, &[10, 10, 10]);
+        assert_eq!(all, logged);
+    }
+
+    #[test]
+    fn jittered_lookahead_runs_replay() {
+        let pace = [7, 3, 5, 3];
+        let every = [1, 4, 2, 3];
+        let a = run_lookahead(11, 40, 32, &pace, &every, &[1; 4]);
+        let b = run_lookahead(11, 40, 32, &pace, &every, &[1; 4]);
+        assert_eq!(a, b, "same seed must replay the same interleaving");
+        let c = run_lookahead(12, 40, 32, &pace, &every, &[1; 4]);
+        assert_ne!(a, c, "different seed should pick a different interleaving");
+    }
+
+    #[test]
+    fn steps_below_the_horizon_never_park() {
+        let exec = DetExecutor::new(2, 0, 0);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        std::thread::scope(|s| {
+            let (e0, l0) = (&exec, &log);
+            s.spawn(move || {
+                e0.register_current(0);
+                e0.yield_now(0, 1_000); // parks: task 1 is still at 0
+                l0.lock().push((0, 1_000));
+                e0.finish(0);
+            });
+            let (e1, l1) = (&exec, &log);
+            s.spawn(move || {
+                e1.register_current(1);
+                let generation = e1.state.lock().tasks[1].generation;
+                for now in 1..=100 {
+                    e1.yield_now(1, now);
+                    l1.lock().push((1, now));
+                }
+                // Every key sat below task 0's 1 000: the task was never
+                // re-queued, so it never parked.
+                assert_eq!(e1.state.lock().tasks[1].generation, generation);
+                e1.finish(1);
+            });
+        });
+        let log = log.lock().clone();
+        assert_eq!(log.len(), 101);
+        assert_eq!(log.last(), Some(&(0, 1_000)), "task 0 runs only after task 1");
+    }
+
+    #[test]
+    fn unblocking_a_lower_key_task_parks_the_runner_at_its_next_yield() {
+        // Task 0 plays the master: priority 0, blocked on an empty mailbox.
+        let exec = DetExecutor::new(2, 0, 0);
+        exec.set_priority(0, 0);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        std::thread::scope(|s| {
+            let (e0, l0) = (&exec, &log);
+            s.spawn(move || {
+                e0.register_current(0);
+                e0.block_external(0, 0);
+                l0.lock().push("master");
+                e0.finish(0);
+            });
+            let (e1, l1) = (&exec, &log);
+            s.spawn(move || {
+                e1.register_current(1);
+                e1.yield_now(1, 10);
+                l1.lock().push("post");
+                e1.unblock(0); // an OAL post wakes the master at clock 0
+                assert_eq!(e1.horizon.load(Ordering::Acquire), 0);
+                l1.lock().push("private");
+                e1.yield_now(1, 30); // the next shared step parks
+                l1.lock().push("shared");
+                e1.finish(1);
+            });
+        });
+        assert_eq!(log.lock().clone(), vec!["post", "private", "master", "shared"]);
+    }
+
+    #[test]
+    fn a_re_picked_yielder_leaves_no_stale_park_token() {
+        let exec = DetExecutor::new(2, 0, 0);
+        std::thread::scope(|s| {
+            let e0 = &exec;
+            s.spawn(move || {
+                e0.register_current(0);
+                // Ties task 1's key: the lock path runs dispatch, which
+                // re-picks task 0 on its lower id.
+                e0.yield_now(0, 0);
+                let t0 = std::time::Instant::now();
+                std::thread::park_timeout(std::time::Duration::from_millis(200));
+                assert!(
+                    t0.elapsed() >= std::time::Duration::from_millis(100),
+                    "a stale unpark woke the carrier early"
+                );
+                e0.finish(0);
+            });
+            let e1 = &exec;
+            s.spawn(move || {
+                e1.register_current(1);
+                e1.finish(1);
+            });
+        });
     }
 
     #[test]
@@ -696,6 +939,30 @@ mod tests {
             assert_eq!(msg, POISON_MSG);
         }
         assert!(exec.is_poisoned());
+    }
+
+    #[test]
+    fn deadlock_after_lock_free_yields_still_poisons() {
+        let exec = DetExecutor::new(2, 0, 0);
+        let mut handles = Vec::new();
+        for t in 0..2usize {
+            let exec = Arc::clone(&exec);
+            handles.push(std::thread::spawn(move || {
+                catch_unwind(AssertUnwindSafe(|| {
+                    exec.register_current(t);
+                    for now in 1..=50 {
+                        exec.yield_now(t, now * (t as u64 + 1));
+                    }
+                    exec.block_internal(t, 1_000);
+                }))
+            }));
+        }
+        for h in handles {
+            let err = h.join().unwrap().unwrap_err();
+            assert_eq!(err.downcast_ref::<&str>().copied().or_else(|| err.downcast_ref::<String>().map(String::as_str)), Some(POISON_MSG));
+        }
+        assert!(exec.is_poisoned());
+        assert_eq!(exec.horizon.load(Ordering::Acquire), 0, "poison closes the lock-free path");
     }
 
     #[test]

@@ -5,6 +5,22 @@
 //! check (and from there to the profiler hooks); locks and barriers delimit HLRC
 //! intervals; stack frames are maintained so the stack sampler has something real to
 //! mine; `migrate_to` invokes the migration engine.
+//!
+//! ## Private and shared steps
+//!
+//! Under the deterministic executor every step is *private* or *shared*. A
+//! private step touches only this thread's arena, its own clock cell and
+//! commutative counters: [`JThread::compute`], and a read or write that hits a
+//! usable cached copy with no profiler timer falling due. Everything else is
+//! shared: faults, traps, first touches and home-resident accesses, allocation
+//! and reference edges, lock/unlock/barrier, OAL posts, migration and explicit
+//! [`JThread::yield_now`]. Private steps never call the executor. The yield
+//! point each access and compute charge used to end with is *owed* instead
+//! and paid by the next shared step, keyed on that step's start clock — the
+//! key the yield would have reported — so shared steps keep one global
+//! order while private ones run ahead. Workload code that touches shared
+//! state through [`JThread::gos`] directly must do so only where a
+//! synchronization operation orders it (as data-race-free code does).
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -12,7 +28,7 @@ use std::sync::Arc;
 
 use jessy_core::sticky::resolution::Resolution;
 use jessy_core::{ShedPolicy, ThreadProfiler};
-use jessy_gos::{ClassId, Gos, LockId, ObjectCore, ObjectId, ThreadSpace};
+use jessy_gos::{AccessKind, ClassId, Gos, LockId, ObjectCore, ObjectId, ThreadSpace};
 use jessy_net::{ClockHandle, MsgClass, NodeId, ThreadId};
 use jessy_obs::EventKind;
 use jessy_stack::{JavaStack, MethodId, Slot};
@@ -56,6 +72,12 @@ pub struct JThread {
     /// sampled objects so their trap chains resume. Stays equal to the table
     /// (no walks, no cost) in runs that never change rates.
     rate_generation: u64,
+    /// The handle runs as a task of the cluster's executor (fixed at
+    /// construction: a carrier registers its task before building the handle).
+    on_task: bool,
+    /// An access or compute charge ended since the last executor call: the
+    /// next shared step yields first (see the module docs).
+    owes_yield: bool,
 }
 
 impl JThread {
@@ -74,6 +96,7 @@ impl JThread {
             .injector()
             .is_some_and(|inj| !inj.plan().slow.is_empty());
         let rate_generation = shared.prof.gaps().generation();
+        let on_task = shared.exec.task_is_live(thread.index());
         JThread {
             shared,
             thread,
@@ -87,20 +110,41 @@ impl JThread {
             pending_oals: VecDeque::new(),
             slow_gate,
             rate_generation,
+            on_task,
+            owes_yield: false,
         }
     }
 
-    /// Cooperative scheduling point: when this thread runs as a task of the
-    /// deterministic executor, report the simulated clock and let the scheduler
-    /// hand the token to the task with the earliest virtual time. A no-op on
-    /// non-task threads (adopted handles, unit tests). Object accesses, compute
-    /// charges and interval boundaries yield implicitly; call this from driver
-    /// loops with long access-free stretches.
+    /// Cooperative scheduling point (a shared step): when this thread runs as
+    /// a task of the deterministic executor, report the simulated clock and
+    /// let the task with the earliest virtual time run. A no-op on non-task
+    /// threads (adopted handles, unit tests). Shared accesses and sync
+    /// operations yield implicitly; call this from driver loops with long
+    /// access-free stretches.
     pub fn yield_now(&mut self) {
-        let t = self.thread.index();
-        if self.shared.exec.task_is_live(t) {
-            self.shared.exec.yield_now(t, self.clock.now());
+        self.owes_yield = false;
+        if self.on_task {
+            self.shared
+                .exec
+                .yield_now(self.thread.index(), self.clock.now());
         }
+    }
+
+    /// Enter a shared step: pay the yield owed by the last access or compute
+    /// charge, keyed on this step's start clock.
+    fn shared_step(&mut self) {
+        if self.owes_yield {
+            self.yield_now();
+        }
+    }
+
+    /// Does an access of `obj` stay a private step: a hit on a usable cached
+    /// copy whose profiler hooks stay inside the thread?
+    fn private_access(&self, obj: ObjectId, kind: AccessKind) -> bool {
+        self.shared
+            .gos
+            .private_hit_ns(&self.space, obj, kind)
+            .is_some_and(|ns| self.profiler.hit_stays_private(self.clock.now() + ns))
     }
 
     /// This thread's id.
@@ -168,8 +212,12 @@ impl JThread {
         }
     }
 
-    /// Read access: run `f` over the object's payload (a yield point).
+    /// Read access: run `f` over the object's payload (a shared step unless it
+    /// hits a usable cached copy).
     pub fn read<R>(&mut self, obj: ObjectId, f: impl FnOnce(&[f64]) -> R) -> R {
+        if !self.private_access(obj, AccessKind::Read) {
+            self.shared_step();
+        }
         let t0 = self.clock.now();
         let (r, out) = self
             .shared
@@ -177,12 +225,16 @@ impl JThread {
             .read(&mut self.space, self.node, obj, &self.clock, f);
         self.post_access(&out);
         self.charge_slow(t0);
-        self.yield_now();
+        self.owes_yield = true;
         r
     }
 
-    /// Write access: run `f` over the mutable payload (a yield point).
+    /// Write access: run `f` over the mutable payload (a shared step unless it
+    /// hits a usable cached copy).
     pub fn write<R>(&mut self, obj: ObjectId, f: impl FnOnce(&mut [f64]) -> R) -> R {
+        if !self.private_access(obj, AccessKind::Write) {
+            self.shared_step();
+        }
         let t0 = self.clock.now();
         let (r, out) = self
             .shared
@@ -190,22 +242,23 @@ impl JThread {
             .write(&mut self.space, self.node, obj, &self.clock, f);
         self.post_access(&out);
         self.charge_slow(t0);
-        self.yield_now();
+        self.owes_yield = true;
         r
     }
 
-    /// Charge `units` of application compute to the simulated clock (a yield
-    /// point).
+    /// Charge `units` of application compute to the simulated clock (a private
+    /// step).
     pub fn compute(&mut self, units: u64) {
         let t0 = self.clock.now();
         self.clock
             .spend(units * self.shared.gos.costs().compute_unit_ns);
         self.charge_slow(t0);
-        self.yield_now();
+        self.owes_yield = true;
     }
 
-    /// Allocate a zeroed scalar at this thread's node.
-    pub fn alloc_scalar(&self, class: ClassId) -> Arc<ObjectCore> {
+    /// Allocate a zeroed scalar at this thread's node (a shared step).
+    pub fn alloc_scalar(&mut self, class: ClassId) -> Arc<ObjectCore> {
+        self.shared_step();
         let core = self
             .shared
             .gos
@@ -214,8 +267,9 @@ impl JThread {
         core
     }
 
-    /// Allocate a zeroed array at this thread's node.
-    pub fn alloc_array(&self, class: ClassId, len_elems: u32) -> Arc<ObjectCore> {
+    /// Allocate a zeroed array at this thread's node (a shared step).
+    pub fn alloc_array(&mut self, class: ClassId, len_elems: u32) -> Arc<ObjectCore> {
+        self.shared_step();
         let core = self
             .shared
             .gos
@@ -224,8 +278,9 @@ impl JThread {
         core
     }
 
-    /// Add a reference edge in the object graph.
-    pub fn add_ref(&self, from: ObjectId, to: ObjectId) {
+    /// Add a reference edge in the object graph (a shared step).
+    pub fn add_ref(&mut self, from: ObjectId, to: ObjectId) {
+        self.shared_step();
         self.shared.gos.object(from).add_ref(to);
     }
 
@@ -521,6 +576,7 @@ impl JThread {
     /// Barriers are also the safe points where dynamic-balancer migration directives
     /// are honoured.
     pub fn barrier(&mut self) {
+        self.shared_step();
         self.close_and_ship_oal();
         self.shared
             .gos
@@ -601,6 +657,7 @@ impl JThread {
 
     /// Acquire a distributed lock (interval boundary).
     pub fn lock(&mut self, lock: LockId) {
+        self.shared_step();
         self.close_and_ship_oal();
         self.shared
             .gos
@@ -612,6 +669,7 @@ impl JThread {
 
     /// Release a distributed lock (interval boundary).
     pub fn unlock(&mut self, lock: LockId) {
+        self.shared_step();
         self.close_and_ship_oal();
         self.shared
             .gos
@@ -667,6 +725,7 @@ impl JThread {
         with_prefetch: bool,
         migrate_homes: bool,
     ) -> MigrationReport {
+        self.shared_step();
         let src = self.node;
         let t0 = self.clock.now();
         let ctx_bytes = self.stack.context_bytes();
@@ -751,6 +810,9 @@ impl Drop for JThread {
     /// the cluster so post-run inspection (and a later re-adoption of the same
     /// thread id) sees the thread's heap state.
     fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.shared_step();
+        }
         self.flush_deferred_oals();
         for (_, _, env) in std::mem::take(&mut self.deferred_oals) {
             let interval = env.oal.interval;

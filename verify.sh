@@ -62,6 +62,18 @@ for seed in 1 7 42 1337 31337 99999; do
   JESSY_CHAOS_SEED=$seed cargo test -p jessy --test drift -q phase_flip_inside
 done
 
+echo "==> perfbench smoke (end-to-end benchmark builds, runs and checks every workload)"
+# perfbench/ is a Cargo workspace of its own, so nothing above compiles it.
+for w in sor_migrate water sessions; do
+  echo "--- $w"
+  last=$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$w" --seed 0 --seconds 1 --trace 1 | tail -n 1)
+  case "$last" in
+    *'"failed": 0,'*) ;;
+    *) echo "perfbench $w: a run failed: $last"; exit 1 ;;
+  esac
+done
+
 echo "==> scale soak smoke (10k cooperative threads, time-compressed)"
 cargo test -p jessy-runtime --test soak -q -- --ignored
 
