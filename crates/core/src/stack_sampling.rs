@@ -136,7 +136,7 @@ impl StackSampler {
     }
 
     /// Would [`maybe_sample`](Self::maybe_sample) sample at simulated time `now`?
-    pub fn sample_due(&self, now: SimNanos) -> bool {
+    pub(crate) fn sample_due(&self, now: SimNanos) -> bool {
         self.last_sample
             .is_none_or(|last| now.saturating_sub(last) >= self.config.gap_ns)
     }

@@ -238,7 +238,7 @@ impl ThreadSpace {
     /// Home-resident entries never qualify: other threads' fetches read the
     /// home copy and their diffs write it.
     #[inline]
-    pub fn private_hit(&self, obj: ObjectId) -> bool {
+    pub(crate) fn private_hit(&self, obj: ObjectId) -> bool {
         let w = self.word(obj);
         w_state(w) == ST_VALID && !self.word_is_stale(w) && !self.word_is_armed(w)
     }

@@ -523,9 +523,10 @@ impl Gos {
         self.access(space, node, obj, AccessKind::Write, clock, f)
     }
 
-    /// Simulated cost of an access to `obj` that is a private hit
-    /// ([`ThreadSpace::private_hit`]): the access check, plus the twin a first
-    /// write of the interval takes. `None` for every other access.
+    /// Simulated cost of an access to `obj` that is a private hit — one on a
+    /// valid, non-stale, unarmed cached copy in `space`, which touches only
+    /// that arena: the access check, plus the twin a first write of the
+    /// interval takes. `None` for every other access.
     pub fn private_hit_ns(&self, space: &ThreadSpace, obj: ObjectId, kind: AccessKind) -> Option<u64> {
         if !space.private_hit(obj) {
             return None;
