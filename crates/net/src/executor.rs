@@ -20,6 +20,20 @@
 //! the token moves only where shared steps of different tasks interleave
 //! (conservative lookahead, Chandy & Misra 1979, applied to a single token).
 //!
+//! ## Token hand-off
+//!
+//! A pass costs one wake and one park. The dispatcher picks the next task under
+//! the state lock, publishes the horizon, and then sets that task's token (an
+//! `AtomicBool`, Release). The waker drops the lock and only then unparks the
+//! picked carrier, so the woken carrier never runs straight into a lock its
+//! waker still holds. A waiting carrier never takes the lock: it loops on the
+//! poison flag, then its token (swap, Acquire), then `thread::park`. The token
+//! is stored before the unpark, so a carrier that checked just before the
+//! store keeps the park permit and returns from `park` at once; a carrier that
+//! wakes spuriously and finds the token set runs before the unpark lands, and
+//! that late unpark leaves only a permit which the next `park` consumes before
+//! re-checking its token — it costs a loop turn, never a lost or extra pass.
+//!
 //! Serialization is also what closes the LRC fetch-vs-flush race (DESIGN.md
 //! §14): with one task running at a time, the write-notice distribution at
 //! barriers is schedule-determined, not OS-determined. And because carrier
@@ -55,16 +69,20 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// Panic payload of every task killed by executor poisoning (cooperative
 /// deadlock, or explicit [`DetExecutor::poison`]). Carriers classify panics by
 /// comparing against this message: a cascade kill is not the root cause.
 pub const POISON_MSG: &str = "deterministic executor poisoned: cooperative task deadlock";
+
+/// `DetExecutor::running` when no task holds the token.
+const NO_TASK: usize = usize::MAX;
 
 /// Why a task is blocked (drives the deadlock-vs-idle distinction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,10 +115,6 @@ struct TaskSlot {
     priority: u8,
     /// Invalidates stale heap entries (bumped on every re-key).
     generation: u64,
-    /// Carrier thread handle, for unpark.
-    carrier: Option<Thread>,
-    /// Token: set by the dispatcher, consumed by the carrier.
-    run_token: bool,
     /// A wakeup arrived while the task was not blocked; consume at next block.
     pending_wake: bool,
 }
@@ -113,14 +127,52 @@ struct ExecState {
     /// pop.
     heap: BinaryHeap<Reverse<(u64, u8, usize, u64)>>,
     registered: usize,
-    running: Option<usize>,
     runnable: usize,
     blocked_internal: usize,
     finished: usize,
     /// Remaining dispatches before pausing; `u64::MAX` = free-run.
     budget: u64,
     started: bool,
-    poisoned: bool,
+}
+
+/// Carriers to unpark, decided under the state lock and delivered by
+/// [`DetExecutor::wake`] once it is dropped.
+#[must_use]
+enum Wake {
+    Nobody,
+    Task(usize),
+    /// The executor poisoned: every carrier must see it.
+    All,
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// State locks this thread holds, so [`DetExecutor::wake`] can assert that
+    /// no carrier is woken under one (debug builds only).
+    static STATE_LOCKS_HELD: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The held state lock. Debug builds also count it in `STATE_LOCKS_HELD`.
+struct StateGuard<'a>(MutexGuard<'a, ExecState>);
+
+impl Deref for StateGuard<'_> {
+    type Target = ExecState;
+    fn deref(&self) -> &ExecState {
+        &self.0
+    }
+}
+
+impl DerefMut for StateGuard<'_> {
+    fn deref_mut(&mut self) -> &mut ExecState {
+        &mut self.0
+    }
+}
+
+impl Drop for StateGuard<'_> {
+    fn drop(&mut self) {
+        #[cfg(debug_assertions)]
+        STATE_LOCKS_HELD.with(|n| n.set(n.get() - 1));
+    }
 }
 
 /// Seeded deterministic cooperative executor. See the module docs.
@@ -134,15 +186,26 @@ pub struct DetExecutor {
     idle: Condvar,
     /// Smallest scheduling key among the runnable tasks other than the running
     /// one (`u64::MAX` if none; 0 while poisoned or in manual mode, which sends
-    /// every yield through the lock). Written under the state lock, read
-    /// lock-free by the running task's [`yield_now`](Self::yield_now): the
-    /// task took the token under that lock (Release/Acquire through the
-    /// mutex), so it sees every value published before it ran; later writes
+    /// every yield through the lock). Written under the state lock before the
+    /// next runner's token, read lock-free by the running task's
+    /// [`yield_now`](Self::yield_now): the token's Release/Acquire pair makes
+    /// every value published before the task ran visible to it; later writes
     /// come from its own calls or from unblocks by non-task threads.
     horizon: AtomicU64,
     /// Scheduling calls per task — feeds the jitter hash. Only the task itself
     /// bumps its counter, so the lock-free yield path can too.
     yields: Box<[AtomicU64]>,
+    /// Per-task run token: set by the dispatcher, consumed by the carrier.
+    tokens: Box<[AtomicBool]>,
+    /// Carrier thread of each registered task, for unpark.
+    carriers: Box<[OnceLock<Thread>]>,
+    /// The task holding the token, or [`NO_TASK`]. Like `poisoned`, written
+    /// only under the state lock (Release) and read lock-free (Acquire) by the
+    /// self-queries and waiting carriers; reads under the lock may be Relaxed.
+    /// A task reads its own entry after taking its token, whose Release store
+    /// follows the `running` store, so a running task always sees itself.
+    running: AtomicUsize,
+    poisoned: AtomicBool,
 }
 
 impl DetExecutor {
@@ -167,8 +230,6 @@ impl DetExecutor {
                 clock_ns: 0,
                 priority: 1,
                 generation: 0,
-                carrier: None,
-                run_token: false,
                 pending_wake: false,
             })
             .collect();
@@ -179,23 +240,47 @@ impl DetExecutor {
                 tasks,
                 heap: BinaryHeap::new(),
                 registered: 0,
-                running: None,
                 runnable: 0,
                 blocked_internal: 0,
                 finished: 0,
                 budget,
                 started: false,
-                poisoned: false,
             }),
             idle: Condvar::new(),
             horizon: AtomicU64::new(0),
             yields: (0..n_tasks).map(|_| AtomicU64::new(0)).collect(),
+            tokens: (0..n_tasks).map(|_| AtomicBool::new(false)).collect(),
+            carriers: (0..n_tasks).map(|_| OnceLock::new()).collect(),
+            running: AtomicUsize::new(NO_TASK),
+            poisoned: AtomicBool::new(false),
         })
+    }
+
+    fn lock(&self) -> StateGuard<'_> {
+        let guard = StateGuard(self.state.lock());
+        #[cfg(debug_assertions)]
+        STATE_LOCKS_HELD.with(|n| n.set(n.get() + 1));
+        guard
     }
 
     /// Number of tasks this executor schedules.
     pub fn n_tasks(&self) -> usize {
-        self.state.lock().tasks.len()
+        self.tokens.len()
+    }
+
+    fn running(&self) -> Option<usize> {
+        Some(self.running.load(Ordering::Acquire)).filter(|&t| t != NO_TASK)
+    }
+
+    /// `_g` is the held state lock: `running` changes only under it.
+    fn set_running(&self, _g: &mut ExecState, task: Option<usize>) {
+        self.running.store(task.unwrap_or(NO_TASK), Ordering::Release);
+    }
+
+    fn set_poisoned(&self, g: &mut ExecState) {
+        self.poisoned.store(true, Ordering::Release);
+        self.publish_horizon(g);
+        self.idle.notify_all();
     }
 
     /// Scheduling key: virtual clock plus seeded jitter. Computed when a task
@@ -212,7 +297,7 @@ impl DetExecutor {
     /// first (default 1). Call before the run starts — re-keying is not applied
     /// to already-queued heap entries.
     pub fn set_priority(&self, task: usize, priority: u8) {
-        let mut g = self.state.lock();
+        let mut g = self.lock();
         assert!(task < g.tasks.len(), "task {task} out of range");
         g.tasks[task].priority = priority;
     }
@@ -236,7 +321,7 @@ impl DetExecutor {
     /// as the horizon. Called after every change to the heap, the budget or
     /// the poison flag.
     fn publish_horizon(&self, g: &mut ExecState) {
-        let horizon = if g.poisoned || g.budget != u64::MAX {
+        let horizon = if self.poisoned.load(Ordering::Relaxed) || g.budget != u64::MAX {
             0
         } else {
             loop {
@@ -256,100 +341,109 @@ impl DetExecutor {
     }
 
     /// Hand the token to the best runnable task, or detect deadlock/idle.
-    /// Caller must hold the state lock and have `running == None`. The picked
-    /// task's carrier is unparked unless it is `caller`, which is awake and
-    /// takes the token itself.
-    fn dispatch(&self, g: &mut ExecState, caller: Option<usize>) {
-        debug_assert!(g.running.is_none());
-        self.pick(g, caller);
+    /// Caller must hold the state lock with no task running. The picked task's
+    /// token is set after the horizon is published; its carrier is returned to
+    /// be woken once the lock is dropped — unless it is `caller`, which is awake
+    /// and sees `running` name it.
+    fn dispatch(&self, g: &mut ExecState, caller: Option<usize>) -> Wake {
+        debug_assert!(self.running().is_none());
+        let wake = self.pick(g, caller);
         self.publish_horizon(g);
+        if let Wake::Task(task) = wake {
+            self.tokens[task].store(true, Ordering::Release);
+        }
+        wake
     }
 
-    fn pick(&self, g: &mut ExecState, caller: Option<usize>) {
-        if g.poisoned {
-            self.wake_everything(g);
-            return;
+    fn pick(&self, g: &mut ExecState, caller: Option<usize>) -> Wake {
+        if self.poisoned.load(Ordering::Relaxed) {
+            return Wake::All;
         }
         if !g.started {
-            return;
+            return Wake::Nobody;
         }
         loop {
             if g.runnable == 0 {
                 // Nothing to run: a live internally-blocked task means the
                 // task set has deadlocked on itself.
                 if g.blocked_internal > 0 {
-                    g.poisoned = true;
-                    self.wake_everything(g);
-                } else {
-                    self.idle.notify_all();
+                    self.set_poisoned(g);
+                    return Wake::All;
                 }
-                return;
+                self.idle.notify_all();
+                return Wake::Nobody;
             }
             if g.budget == 0 {
                 self.idle.notify_all();
-                return;
+                return Wake::Nobody;
             }
             let Some(Reverse((_, _, task, generation))) = g.heap.pop() else {
                 debug_assert!(false, "runnable count positive but heap empty");
-                return;
+                return Wake::Nobody;
             };
             let slot = &mut g.tasks[task];
             if slot.state != TaskState::Runnable || slot.generation != generation {
                 continue; // stale entry (re-keyed by fast_forward_to)
             }
+            slot.state = TaskState::Running;
             if g.budget != u64::MAX {
                 g.budget -= 1;
             }
-            slot.state = TaskState::Running;
-            slot.run_token = true;
-            g.running = Some(task);
             g.runnable -= 1;
-            if caller != Some(task) {
-                if let Some(t) = &slot.carrier {
-                    t.unpark();
-                }
-            }
-            return;
+            self.set_running(g, Some(task));
+            return if caller == Some(task) {
+                Wake::Nobody
+            } else {
+                Wake::Task(task)
+            };
         }
     }
 
-    /// After `caller` handed the token back and dispatched: if the dispatch
-    /// re-picked it, take the token without parking. Returns whether it did.
-    fn kept_token(g: &mut ExecState, caller: usize) -> bool {
-        if g.running != Some(caller) {
-            return false;
-        }
-        g.tasks[caller].run_token = false;
-        true
-    }
-
-    fn wake_everything(&self, g: &mut ExecState) {
-        for slot in &g.tasks {
-            if let Some(t) = &slot.carrier {
+    /// Unpark the carriers `wake` names. Never called under the state lock: a
+    /// carrier woken while its waker still holds the lock would preempt the
+    /// waker only to block on it.
+    fn wake(&self, wake: Wake) {
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            STATE_LOCKS_HELD.with(|n| n.get()),
+            0,
+            "carrier woken under the executor state lock"
+        );
+        let unpark = |task: usize| {
+            if let Some(t) = self.carriers[task].get() {
                 t.unpark();
             }
+        };
+        match wake {
+            Wake::Nobody => {}
+            Wake::Task(task) => unpark(task),
+            Wake::All => (0..self.carriers.len()).for_each(unpark),
         }
-        self.idle.notify_all();
     }
 
     /// Park the calling carrier until its task holds the token (or the
     /// executor is poisoned, in which case this panics with [`POISON_MSG`]).
+    /// Lock-free: see the module docs on the token hand-off.
     fn wait_for_token(&self, task: usize) {
         loop {
-            {
-                let mut g = self.state.lock();
-                if g.poisoned {
-                    drop(g);
-                    panic!("{POISON_MSG}");
-                }
-                let slot = &mut g.tasks[task];
-                if slot.run_token {
-                    slot.run_token = false;
-                    debug_assert_eq!(slot.state, TaskState::Running);
-                    return;
-                }
+            if self.poisoned.load(Ordering::Acquire) {
+                panic!("{POISON_MSG}");
+            }
+            if self.tokens[task].swap(false, Ordering::Acquire) {
+                return;
             }
             std::thread::park();
+        }
+    }
+
+    /// After `caller` handed the token back: drop the lock, wake the picked
+    /// carrier, and park unless the dispatch re-picked `caller` itself.
+    fn hand_off(&self, g: StateGuard<'_>, wake: Wake, caller: usize) {
+        let kept = self.running() == Some(caller);
+        drop(g);
+        self.wake(wake);
+        if !kept {
+            self.wait_for_token(caller);
         }
     }
 
@@ -361,27 +455,28 @@ impl DetExecutor {
     /// If `task` is out of range, already registered, or the executor is
     /// poisoned while waiting.
     pub fn register_current(&self, task: usize) {
-        {
-            let mut g = self.state.lock();
-            assert!(task < g.tasks.len(), "task {task} out of range");
-            assert_eq!(
-                g.tasks[task].state,
-                TaskState::NotStarted,
-                "task {task} registered twice"
-            );
-            g.tasks[task].carrier = Some(std::thread::current());
-            g.tasks[task].state = TaskState::Runnable;
-            g.runnable += 1;
-            self.push_runnable(&mut g, task);
-            g.registered += 1;
-            if g.registered == g.tasks.len() {
-                g.started = true;
-                if g.running.is_none() {
-                    self.dispatch(&mut g, None);
-                }
+        let mut g = self.lock();
+        assert!(task < g.tasks.len(), "task {task} out of range");
+        assert_eq!(
+            g.tasks[task].state,
+            TaskState::NotStarted,
+            "task {task} registered twice"
+        );
+        self.carriers[task]
+            .set(std::thread::current())
+            .expect("a task not yet started has no carrier");
+        g.tasks[task].state = TaskState::Runnable;
+        g.runnable += 1;
+        self.push_runnable(&mut g, task);
+        g.registered += 1;
+        let mut wake = Wake::Nobody;
+        if g.registered == g.tasks.len() {
+            g.started = true;
+            if self.running().is_none() {
+                wake = self.dispatch(&mut g, Some(task));
             }
         }
-        self.wait_for_token(task);
+        self.hand_off(g, wake, task);
     }
 
     /// Cooperative scheduling point: report the task's virtual clock and let
@@ -394,25 +489,20 @@ impl DetExecutor {
         if self.key(task, yields, now_ns) < self.horizon.load(Ordering::Acquire) {
             return;
         }
-        {
-            let mut g = self.state.lock();
-            if g.poisoned {
-                drop(g);
-                panic!("{POISON_MSG}");
-            }
-            debug_assert_eq!(g.running, Some(task));
-            let slot = &mut g.tasks[task];
-            slot.clock_ns = slot.clock_ns.max(now_ns);
-            slot.state = TaskState::Runnable;
-            g.running = None;
-            g.runnable += 1;
-            self.push_runnable(&mut g, task);
-            self.dispatch(&mut g, Some(task));
-            if Self::kept_token(&mut g, task) {
-                return;
-            }
+        let mut g = self.lock();
+        if self.poisoned.load(Ordering::Relaxed) {
+            drop(g);
+            panic!("{POISON_MSG}");
         }
-        self.wait_for_token(task);
+        debug_assert_eq!(self.running(), Some(task));
+        let slot = &mut g.tasks[task];
+        slot.clock_ns = slot.clock_ns.max(now_ns);
+        slot.state = TaskState::Runnable;
+        self.set_running(&mut g, None);
+        g.runnable += 1;
+        self.push_runnable(&mut g, task);
+        let wake = self.dispatch(&mut g, Some(task));
+        self.hand_off(g, wake, task);
     }
 
     /// Block the running task waiting on **another task** (lock holder,
@@ -429,37 +519,31 @@ impl DetExecutor {
     }
 
     fn block(&self, task: usize, now_ns: u64, kind: Block) {
-        {
-            let mut g = self.state.lock();
-            if g.poisoned {
-                drop(g);
-                panic!("{POISON_MSG}");
-            }
-            debug_assert_eq!(g.running, Some(task));
-            self.yields[task].fetch_add(1, Ordering::Relaxed);
-            let slot = &mut g.tasks[task];
-            slot.clock_ns = slot.clock_ns.max(now_ns);
-            if slot.pending_wake {
-                // A wakeup raced the block (sent from a non-task thread while
-                // this task was running): degrade to a plain yield.
-                slot.pending_wake = false;
-                slot.state = TaskState::Runnable;
-                g.running = None;
-                g.runnable += 1;
-                self.push_runnable(&mut g, task);
-            } else {
-                slot.state = TaskState::Blocked(kind);
-                g.running = None;
-                if kind == Block::Internal {
-                    g.blocked_internal += 1;
-                }
-            }
-            self.dispatch(&mut g, Some(task));
-            if Self::kept_token(&mut g, task) {
-                return;
+        let mut g = self.lock();
+        if self.poisoned.load(Ordering::Relaxed) {
+            drop(g);
+            panic!("{POISON_MSG}");
+        }
+        debug_assert_eq!(self.running(), Some(task));
+        self.yields[task].fetch_add(1, Ordering::Relaxed);
+        self.set_running(&mut g, None);
+        let slot = &mut g.tasks[task];
+        slot.clock_ns = slot.clock_ns.max(now_ns);
+        if slot.pending_wake {
+            // A wakeup raced the block (sent from a non-task thread while
+            // this task was running): degrade to a plain yield.
+            slot.pending_wake = false;
+            slot.state = TaskState::Runnable;
+            g.runnable += 1;
+            self.push_runnable(&mut g, task);
+        } else {
+            slot.state = TaskState::Blocked(kind);
+            if kind == Block::Internal {
+                g.blocked_internal += 1;
             }
         }
-        self.wait_for_token(task);
+        let wake = self.dispatch(&mut g, Some(task));
+        self.hand_off(g, wake, task);
     }
 
     /// Make a blocked task runnable again. Callable from any thread (a running
@@ -469,10 +553,11 @@ impl DetExecutor {
     /// a pending wakeup consumed by its next `block_*`; waking a runnable or
     /// finished task is a no-op.
     pub fn unblock(&self, task: usize) {
-        let mut g = self.state.lock();
-        if g.poisoned || task >= g.tasks.len() {
+        let mut g = self.lock();
+        if self.poisoned.load(Ordering::Relaxed) || task >= g.tasks.len() {
             return;
         }
+        let mut wake = Wake::Nobody;
         match g.tasks[task].state {
             TaskState::Blocked(kind) => {
                 g.tasks[task].state = TaskState::Runnable;
@@ -481,19 +566,21 @@ impl DetExecutor {
                     g.blocked_internal -= 1;
                 }
                 self.push_runnable(&mut g, task);
-                if g.running.is_none() && g.started {
-                    self.dispatch(&mut g, None);
+                if self.running().is_none() && g.started {
+                    wake = self.dispatch(&mut g, None);
                 }
             }
             TaskState::Running => g.tasks[task].pending_wake = true,
             _ => {}
         }
+        drop(g);
+        self.wake(wake);
     }
 
     /// Retire the calling task and hand the token onward. Safe to call after a
     /// caught panic (including a poison cascade) — it never panics itself.
     pub fn finish(&self, task: usize) {
-        let mut g = self.state.lock();
+        let mut g = self.lock();
         if task >= g.tasks.len() {
             return;
         }
@@ -502,47 +589,49 @@ impl DetExecutor {
             return;
         }
         g.tasks[task].state = TaskState::Finished;
-        g.tasks[task].run_token = false;
         g.finished += 1;
         match prior {
-            TaskState::Running => g.running = None,
+            TaskState::Running => self.set_running(&mut g, None),
             TaskState::Runnable => g.runnable -= 1,
             TaskState::Blocked(Block::Internal) => g.blocked_internal -= 1,
             _ => {}
         }
-        if !g.poisoned && g.running.is_none() && g.started {
-            self.dispatch(&mut g, None);
+        let mut wake = Wake::Nobody;
+        if !self.poisoned.load(Ordering::Relaxed) && self.running().is_none() && g.started {
+            wake = self.dispatch(&mut g, None);
         }
+        drop(g);
+        self.wake(wake);
     }
 
     /// True while `task` is the currently-running task of a live executor —
     /// the gate cooperative sync primitives use to choose the executor path
-    /// over their OS-thread (condvar) fallback.
+    /// over their OS-thread (condvar) fallback. Lock-free: the running task
+    /// sees its own `running` entry through the token it took.
     pub fn task_is_live(&self, task: usize) -> bool {
-        let g = self.state.lock();
-        task < g.tasks.len() && g.running == Some(task) && !g.poisoned
+        self.running() == Some(task) && !self.is_poisoned()
     }
 
     /// True once the executor has poisoned (deadlock or explicit abort).
     pub fn is_poisoned(&self) -> bool {
-        self.state.lock().poisoned
+        self.poisoned.load(Ordering::Acquire)
     }
 
     /// Poison the executor outright: every parked or future scheduling call
     /// panics with [`POISON_MSG`]. Used to abort cleanly when a carrier could
     /// not be spawned and registration would otherwise never complete.
     pub fn poison(&self) {
-        let mut g = self.state.lock();
-        g.poisoned = true;
-        self.publish_horizon(&mut g);
-        self.wake_everything(&mut g);
+        let mut g = self.lock();
+        self.set_poisoned(&mut g);
+        drop(g);
+        self.wake(Wake::All);
     }
 
     /// Earliest virtual clock over all unfinished tasks (0 if none) — the
     /// front of virtual time. A running task counts with the clock of its last
     /// yield that parked or blocked.
     pub fn time_front(&self) -> u64 {
-        let g = self.state.lock();
+        let g = self.lock();
         g.tasks
             .iter()
             .filter(|t| t.state != TaskState::Finished)
@@ -555,8 +644,36 @@ impl DetExecutor {
 
     /// Is the executor idle: nothing running and nothing dispatchable under
     /// the current budget?
-    fn is_idle(g: &ExecState) -> bool {
-        g.running.is_none() && (g.runnable == 0 || g.budget == 0 || !g.started)
+    fn is_idle(&self, g: &ExecState) -> bool {
+        self.running().is_none() && (g.runnable == 0 || g.budget == 0 || !g.started)
+    }
+
+    /// Grant dispatches (`steps` more, or `u64::MAX` to free-run), wait for
+    /// all tasks to register first, and wake the picked carrier. Returns the
+    /// lock re-taken after the wake.
+    fn grant(&self, steps: u64) -> StateGuard<'_> {
+        let mut g = self.lock();
+        while !g.started {
+            self.idle.wait(&mut g.0);
+        }
+        g.budget = g.budget.saturating_add(steps);
+        let mut wake = Wake::Nobody;
+        if self.running().is_none() {
+            wake = self.dispatch(&mut g, None);
+        }
+        drop(g);
+        self.wake(wake);
+        self.lock()
+    }
+
+    /// Pause again once `done` holds; returns the number of unfinished tasks.
+    fn pause_when(&self, mut g: StateGuard<'_>, done: impl Fn(&Self, &ExecState) -> bool) -> usize {
+        while !done(self, &g) {
+            self.idle.wait(&mut g.0);
+        }
+        g.budget = 0;
+        self.publish_horizon(&mut g);
+        g.tasks.len() - g.finished
     }
 
     /// Grant `steps` dispatches and block the calling (non-task) thread until
@@ -564,40 +681,16 @@ impl DetExecutor {
     /// Returns the number of unfinished tasks. Manual mode only (created via
     /// [`new_paused`](Self::new_paused)).
     pub fn tick(&self, steps: u64) -> usize {
-        let mut g = self.state.lock();
-        while !g.started {
-            self.idle.wait(&mut g);
-        }
-        g.budget = g.budget.saturating_add(steps);
-        if g.running.is_none() && g.started {
-            self.dispatch(&mut g, None);
-        }
-        while !Self::is_idle(&g) {
-            self.idle.wait(&mut g);
-        }
-        g.budget = 0;
-        self.publish_horizon(&mut g);
-        g.tasks.len() - g.finished
+        let g = self.grant(steps);
+        self.pause_when(g, Self::is_idle)
     }
 
     /// Run until no task is runnable (all blocked or finished), then pause
     /// again. Waits for all tasks to register first. Returns the number of
     /// unfinished tasks.
     pub fn run_until_idle(&self) -> usize {
-        let mut g = self.state.lock();
-        while !g.started {
-            self.idle.wait(&mut g);
-        }
-        g.budget = u64::MAX;
-        if g.running.is_none() && g.started {
-            self.dispatch(&mut g, None);
-        }
-        while !(g.running.is_none() && g.runnable == 0) {
-            self.idle.wait(&mut g);
-        }
-        g.budget = 0;
-        self.publish_horizon(&mut g);
-        g.tasks.len() - g.finished
+        let g = self.grant(u64::MAX);
+        self.pause_when(g, |e, g| e.running().is_none() && g.runnable == 0)
     }
 
     /// Raise every unfinished task's virtual clock to at least `ns` (re-keying
@@ -606,7 +699,7 @@ impl DetExecutor {
     /// the scheduling view. Manual mode only: a running task's lock-free
     /// yields do not see a clock raised here.
     pub fn fast_forward_to(&self, ns: u64) {
-        let mut g = self.state.lock();
+        let mut g = self.lock();
         let n = g.tasks.len();
         for task in 0..n {
             if g.tasks[task].state == TaskState::Finished {
@@ -632,7 +725,8 @@ mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+    use std::time::{Duration, Instant};
 
     /// Spawn `n` tasks that each append `(task, step)` to a shared log at every
     /// scheduling point, with per-task virtual clocks advancing by `pace[t]`.
@@ -850,6 +944,145 @@ mod tests {
                 e1.finish(1);
             });
         });
+    }
+
+    #[test]
+    fn a_last_registered_first_pick_leaves_no_stale_park_token() {
+        // Task 0 plays the master: priority 0, so it is picked first.
+        let exec = DetExecutor::new(2, 0, 0);
+        exec.set_priority(0, 0);
+        std::thread::scope(|s| {
+            let e1 = &exec;
+            s.spawn(move || {
+                e1.register_current(1);
+                e1.finish(1);
+            });
+            let e0 = &exec;
+            s.spawn(move || {
+                while e0.state.lock().registered < 1 {
+                    std::thread::yield_now();
+                }
+                // Registers last, so its own call dispatches — and picks it.
+                e0.register_current(0);
+                let t0 = Instant::now();
+                std::thread::park_timeout(Duration::from_millis(200));
+                let parked = t0.elapsed();
+                e0.finish(0); // before asserting, so a failure cannot hang task 1
+                assert!(
+                    parked >= Duration::from_millis(100),
+                    "a stale unpark woke the carrier early"
+                );
+            });
+        });
+    }
+
+    /// Every other test in this module drives some wake path (register, yield,
+    /// block, unblock from outside, finish, poison, tick); in debug builds
+    /// `wake` asserts on each that the waker does not hold the state lock.
+    /// This checks the assertion itself.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn waking_a_carrier_under_the_state_lock_trips_the_guard() {
+        let exec = DetExecutor::new(1, 0, 0);
+        let g = exec.lock();
+        let woke_under_lock = catch_unwind(AssertUnwindSafe(|| exec.wake(Wake::Task(0))));
+        drop(g);
+        assert!(woke_under_lock.is_err());
+        exec.wake(Wake::Task(0));
+    }
+
+    /// The order `run_logged` must give: the task with the smallest
+    /// `(key, id)` runs next, where a task's key after `s` steps is
+    /// `key(task, s, s * pace)` — the key of its `s`-th yield.
+    fn model_order(n: usize, seed: u64, jitter: u64, steps: usize, pace: &[u64]) -> Vec<(usize, usize)> {
+        let keys = DetExecutor::new(n, seed, jitter);
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
+            (0..n).map(|t| Reverse((keys.key(t, 0, 0), t))).collect();
+        let mut done = vec![0usize; n];
+        let mut order = Vec::with_capacity(n * steps);
+        while let Some(Reverse((_, t))) = heap.pop() {
+            order.push((t, done[t]));
+            done[t] += 1;
+            if done[t] < steps {
+                let s = done[t] as u64;
+                heap.push(Reverse((keys.key(t, s, s * pace[t]), t)));
+            }
+        }
+        order
+    }
+
+    /// Runs `f` on its own thread and fails the test if it has not returned
+    /// within `limit`, instead of letting a lost wake-up hang the suite.
+    fn with_watchdog<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        let run = std::thread::spawn(move || tx.send(f()));
+        match rx.recv_timeout(limit) {
+            Ok(out) => {
+                run.join().expect("the run returned").expect("the receiver is alive");
+                out
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("watchdog: the run hung (lost wake-up?)"),
+            Err(mpsc::RecvTimeoutError::Disconnected) => panic!("the run panicked"),
+        }
+    }
+
+    #[test]
+    fn hand_off_stress_reproduces_the_logged_order() {
+        const TASKS: usize = 16;
+        const STEPS: usize = 5_000;
+        let pace: [u64; TASKS] = [1, 1, 2, 3, 5, 8, 1, 2, 3, 1, 7, 2, 1, 4, 1, 3];
+        for (seed, jitter) in [(0, 0), (5, 7)] {
+            let got = with_watchdog(Duration::from_secs(120), move || {
+                run_logged(TASKS, seed, jitter, STEPS, &pace)
+            });
+            assert_eq!(got.len(), TASKS * STEPS);
+            assert!(
+                got == model_order(TASKS, seed, jitter, STEPS, &pace),
+                "seed {seed}, jitter {jitter}: hand-off order differs from the model"
+            );
+        }
+    }
+
+    #[test]
+    fn poison_reaches_every_carrier_in_the_lock_free_wait() {
+        const TASKS: usize = 8;
+        let exec = DetExecutor::new(TASKS, 0, 0);
+        let (running_tx, running_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        let mut carriers = Vec::new();
+        for t in 0..TASKS {
+            let (exec, running_tx, done_tx) = (Arc::clone(&exec), running_tx.clone(), done_tx.clone());
+            carriers.push(std::thread::spawn(move || {
+                let err = catch_unwind(AssertUnwindSafe(|| {
+                    exec.register_current(t);
+                    // Task 0 is picked first and keeps the token; the others
+                    // wait for it without the lock.
+                    running_tx.send(t).unwrap();
+                    while !exec.is_poisoned() {
+                        std::thread::yield_now();
+                    }
+                    exec.yield_now(t, 1);
+                }))
+                .unwrap_err();
+                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                exec.finish(t);
+                done_tx.send(msg).unwrap();
+            }));
+        }
+        assert_eq!(running_rx.recv_timeout(Duration::from_secs(30)), Ok(0));
+        assert!(exec.task_is_live(0) && !exec.task_is_live(1));
+        // Let the others reach `park`; the poison must reach them either way.
+        std::thread::sleep(Duration::from_millis(50));
+        exec.poison();
+        assert!(!exec.task_is_live(0), "a poisoned executor has no live task");
+        for _ in 0..TASKS {
+            let msg = done_rx.recv_timeout(Duration::from_secs(30)).expect("a carrier missed the poison");
+            assert_eq!(msg, POISON_MSG);
+        }
+        assert!(running_rx.try_recv().is_err(), "only task 0 ever ran");
+        for c in carriers {
+            c.join().unwrap();
+        }
     }
 
     #[test]

@@ -12,6 +12,12 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> cargo test --release -p jessy-net -q (executor wake races show only at release speed)"
+cargo test --release -p jessy-net -q
+
+echo "==> cargo test --release --test determinism -q (golden digests at release speed)"
+cargo test --release --test determinism -q
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
